@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, List, Optional, Union
 
 from ..config import RoutingConfig
 from ..core.arrangement import VcArrangement
-from ..core.link_types import HopSequence, LinkType, MessageClass
+from ..core.link_types import LinkType, MessageClass
 from ..core.vc_policy import HopContext, HopKind, VcPolicy, VcRange
 from ..core.vc_selection import VcSelection
 from ..packet import Packet, RouteKind
@@ -40,15 +40,14 @@ from .route_table import make_route_table
 if TYPE_CHECKING:  # pragma: no cover
     from ..router.router import Router
 
-#: bound on the plan/candidate memo dictionaries: the key population grows
-#: with the distinct (here, dst, phase-state) situations actually traversed
-#: — effectively O(n²) under uniform traffic at 10^5-endpoint scale — so
-#: each memo is cleared wholesale when it reaches this many entries.  The
-#: constructions are pure (no RNG; randomness lives in the per-packet
-#: injection decisions), so a rebuilt entry is identical and the clear is
-#: invisible in results.  ~262k entries keep worst-case memo memory around
-#: 70 MB; canonical paper-scale runs stay far below the cap, and at system
-#: scale rebuilding after a clear costs well under a cycle's worth of work.
+#: bound on the plan memo: the key population grows with the distinct
+#: (here, dst, phase-state) situations actually traversed — effectively
+#: O(n²) under uniform traffic at 10^5-endpoint scale — so the memo is
+#: cleared wholesale when it reaches this many entries.  Plans are pure
+#: (no RNG; randomness lives in the per-packet injection decisions), so a
+#: rebuilt entry is identical and the clear is invisible in results.
+#: Canonical paper-scale runs stay far below the cap, and at system scale
+#: rebuilding after a clear costs well under a cycle's worth of work.
 _MEMO_CAP = 1 << 18
 
 
@@ -71,11 +70,11 @@ class CandidateHop:
     vc_hi: int = -1
     #: packed router-resolved evaluation record — ``(out_port, vc_lo, vc_hi,
     #: out_state_base, credit_free_base, out_buffer_capacity,
-    #: pending_releases, credit_fail_mask)``.  Candidates are memoized per
-    #: router (the cache key includes the router id), so the router-local
+    #: pending_releases, credit_fail_mask)``.  Candidates are interned per
+    #: router (the intern key includes the router id), so the router-local
     #: slab indices and references can be burned in at construction; the
     #: allocator then evaluates a candidate with a single attribute load
-    #: plus flat reads.  Filled by RoutingAlgorithm._build_candidate;
+    #: plus flat reads.  Filled by RoutingAlgorithm._hop_plan;
     #: hand-built candidates (tests) keep the 3-field prefix form.
     hot: tuple = ()
     #: grant-time fast-path flags: a *simple* hop updates only the packet's
@@ -106,6 +105,9 @@ class EjectionRequest:
 
 
 Plan = Union[EjectionRequest, List[CandidateHop]]
+
+#: the shared plan of a hop with no route or no admissible VC (never mutated).
+_NO_HOP: List[CandidateHop] = []
 
 
 class RoutingAlgorithm(ABC):
@@ -145,21 +147,20 @@ class RoutingAlgorithm(ABC):
             self.phase_ref = (max(2, topology.diameter), 0)
         #: routers eligible as Valiant intermediates (None = all routers).
         self._valiant_pool = topology.valiant_routers()
-        #: memoized candidate hops — the construction is a pure function of
-        #: (location, target, destination, class, input, phase state), and
-        #: :class:`CandidateHop` objects are immutable in practice, so the
-        #: same instance is shared by every packet in the same situation.
-        #: Both memos are *bounded*: keys scale with (here, dst) pairs
-        #: actually traversed, which approaches O(n²) under uniform traffic
-        #: at system scale — an unbounded memo would quietly reintroduce
-        #: the dense table's quadratic memory.  At :data:`_MEMO_CAP`
-        #: entries the memo is cleared wholesale (purity makes the rebuild
-        #: answer-identical, and plan lists held by callers stay valid);
-        #: canonical paper-scale runs never reach the cap, so goldens see
-        #: zero behaviour change.
-        self._candidate_cache: dict = {}
-        #: memoized whole plans for the minimal branch (same purity argument;
-        #: plan lists are shared and never mutated), and ejection requests.
+        #: hop-verdict memo: the VC policy decides from the HopContext
+        #: fields alone (Definitions 1-2), never from the router or the
+        #: destination, so its ``(vc_range, opportunistic)`` verdict is
+        #: shared by every hop with the same signature.
+        # devtools: unbounded-ok(one entry per distinct hop signature: message class, pairs of the <=255 interned route sequences, input link type/VC and phase state; independent of traffic volume)
+        self._verdict_memo: dict = {}
+        #: interned one-hop plans ``[CandidateHop]`` per router: out port,
+        #: VC range and flags determine every other field and the
+        #: router-resolved ``hot`` record, so equal hops share one object.
+        # devtools: unbounded-ok(at most routers x ports x VC ranges x 6 flag combinations: opportunistic x plain/reaches-intermediate/abandons-detour)
+        self._intern_memo: dict = {}
+        #: memoized whole plans for the minimal branch — bounded by
+        #: :data:`_MEMO_CAP`, since keys scale with the (here, dst) pairs
+        #: actually traversed; plan lists are shared and never mutated.
         self._plan_memo: dict = {}
         # devtools: unbounded-ok(keyed by (dst router, msg class): at most 2n entries)
         self._ejection_memo: dict = {}
@@ -187,13 +188,15 @@ class RoutingAlgorithm(ABC):
     def invalidate_route_caches(self) -> None:
         """Flush every memo that bakes in route-table answers.
 
-        Called by the fault controller after re-table-ing: plans and
-        candidates (including their burned-in ``hot`` tuples) embed next
-        ports read from the mutated columns.  The ejection memo survives —
-        ejection requests depend only on the (static) node attachment.
+        Called by the fault controller after re-table-ing: plans embed next
+        ports read from the mutated columns.  The other memos survive
+        because they never read a route: ejection requests depend only on
+        the (static) node attachment, hop verdicts only on the hop's
+        signature (the new route's sequences form a new key), and an
+        interned candidate only on its router, port, VC range and flags
+        (its ``hot`` record holds static router slab indices).
         """
         self._plan_memo.clear()
-        self._candidate_cache.clear()
 
     # ------------------------------------------------------------------
     # Decision hooks
@@ -245,21 +248,16 @@ class RoutingAlgorithm(ABC):
                 self._enter_second_phase(packet)
 
         if packet.route_kind == RouteKind.VALIANT and not packet.intermediate_reached:
-            candidates: List[CandidateHop] = []
-            detour = self._candidate_towards(
+            detour = self._hop_plan(
                 router, packet, packet.intermediate_router, input_type, input_vc,
                 is_detour=True,
             )
-            if detour is not None:
-                candidates.append(detour)
-                if detour.opportunistic:
-                    escape = self._candidate_towards(
-                        router, packet, dst_router, input_type, input_vc,
-                        is_detour=False, abandons_detour=True,
-                    )
-                    if escape is not None:
-                        candidates.append(escape)
-            return candidates
+            if detour and detour[0].opportunistic:
+                return detour + self._hop_plan(
+                    router, packet, dst_router, input_type, input_vc,
+                    is_detour=False, abandons_detour=True,
+                )
+            return detour
 
         # Minimal continuation (MIN packets, and Valiant packets past their
         # intermediate — both take the same minimal path from here): the whole
@@ -283,19 +281,18 @@ class RoutingAlgorithm(ABC):
             )
         cached = self._plan_memo.get(key)
         if cached is None:
-            direct = self._candidate_towards(
+            cached = self._hop_plan(
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )
-            cached = [direct] if direct is not None else []
             if len(self._plan_memo) >= _MEMO_CAP:
                 self._plan_memo.clear()
             self._plan_memo[key] = cached
         return cached
 
     # ------------------------------------------------------------------
-    # Candidate construction helpers
+    # Candidate construction
     # ------------------------------------------------------------------
-    def _candidate_towards(
+    def _hop_plan(
         self,
         router: "Router",
         packet: Packet,
@@ -304,122 +301,80 @@ class RoutingAlgorithm(ABC):
         input_vc: int,
         is_detour: bool,
         abandons_detour: bool = False,
-    ) -> Optional[CandidateHop]:
-        """Candidate for the next minimal hop towards ``target_router`` (memoized).
+    ) -> List[CandidateHop]:
+        """Shared one-hop plan for the next minimal hop towards ``target_router``.
 
-        ``plan`` only requests detours towards ``packet.intermediate_router``,
-        so the cache key below captures every packet attribute the
-        construction reads.
+        Returns ``[candidate]`` from the per-router intern, or the shared
+        empty plan when there is no route or the policy forbids the hop.
+        The hop's VC verdict comes from the verdict memo, so the policy
+        runs once per distinct hop signature, not once per situation.
         """
         here = router.router_id
+        route = self.route
         dst_router = packet.dst_router  # resolved by plan() before this point
+        target_col = route.column(target_router)
+        out_port = target_col.next_port(here)
+        if out_port is None:
+            return _NO_HOP
+        dst_col = (
+            target_col if target_router == dst_router
+            else route.column(dst_router)
+        )
+        next_router = route.neighbor(here, out_port)
+        out_type = route.link_type(here, out_port)
+        if abandons_detour or packet.route_kind == RouteKind.MINIMAL \
+                or packet.intermediate_reached:
+            intended = dst_col.hop_sequence(here)
+        else:
+            intended = (target_col.hop_sequence(here)
+                        + dst_col.hop_sequence(target_router))
+        escape = dst_col.hop_sequence(next_router)
+        msg_class = packet.msg_class
         phase_local = packet.phase_local
         phase_global = packet.phase_global
         phase_position = packet.phase_position
         phase_global_taken = packet.phase_global_taken
-        if (0 <= phase_local < 16 and 0 <= phase_global < 16
-                and 0 <= phase_position < 32
-                and 0 <= phase_global_taken < 16 and -1 <= input_vc < 15):
-            n = self._key_routers
-            key = (here * n + target_router) * n + dst_router
-            key = key * 2 + packet.msg_class
-            key = key * 3 + (0 if input_type is None else input_type + 1)
-            key = (key * 16 + input_vc + 1) * 16 + phase_local
-            key = ((key * 16 + phase_global) * 32 + phase_position) * 16 \
-                + phase_global_taken
-            key = (key * 2 + is_detour) * 2 + abandons_detour
-        else:  # pragma: no cover - beyond any canonical reference shape
-            key = (
-                here, target_router, dst_router, packet.msg_class,
-                input_type, input_vc, phase_local, phase_global,
-                phase_position, phase_global_taken, is_detour, abandons_detour,
-            )
-        try:
-            return self._candidate_cache[key]
-        except KeyError:
-            candidate = self._build_candidate(
-                here, dst_router, packet, target_router, input_type, input_vc,
-                is_detour, abandons_detour,
-            )
-            if candidate is not None:
-                candidate.hot = router.resolve_candidate(candidate)
-            if len(self._candidate_cache) >= _MEMO_CAP:
-                self._candidate_cache.clear()
-            self._candidate_cache[key] = candidate
-            return candidate
-
-    def _build_candidate(
-        self,
-        here: int,
-        dst_router: int,
-        packet: Packet,
-        target_router: int,
-        input_type: Optional[LinkType],
-        input_vc: int,
-        is_detour: bool,
-        abandons_detour: bool,
-    ) -> Optional[CandidateHop]:
-        # Column views: one route-table column lookup per destination keeps
-        # every per-source query below a single flat index, which is what
-        # lets the lazy front-end touch (and possibly fill) each needed
-        # column exactly once per candidate construction.
-        target_col = self.route.column(target_router)
-        out_port = target_col.next_port(here)
-        if out_port is None:
-            return None
-        next_router = self.route.neighbor(here, out_port)
-        out_type = self.route.link_type(here, out_port)
-        dst_col = (
-            target_col if target_router == dst_router
-            else self.route.column(dst_router)
+        verdict_key = (
+            msg_class, out_type, intended, escape, input_type, input_vc,
+            phase_local, phase_global, phase_position, phase_global_taken,
         )
-        intended = self._intended_remaining(here, packet, target_router,
-                                            target_col, dst_col, abandons_detour)
-        escape = dst_col.hop_sequence(next_router)
-        ctx = HopContext(
-            msg_class=packet.msg_class,
-            out_type=out_type,
-            intended_remaining=intended,
-            escape_from_next=escape,
-            input_type=input_type,
-            input_vc=input_vc,
-            phase_offsets=packet.phase_offsets,
-            phase_position=packet.phase_position,
-            phase_global_taken=packet.phase_global_taken,
-        )
-        vc_range, kind = self.policy.evaluate(ctx)
+        verdict = self._verdict_memo.get(verdict_key)
+        if verdict is None:
+            vc_range, kind = self.policy.evaluate(HopContext(
+                msg_class=msg_class,
+                out_type=out_type,
+                intended_remaining=intended,
+                escape_from_next=escape,
+                input_type=input_type,
+                input_vc=input_vc,
+                phase_offsets=(phase_local, phase_global),
+                phase_position=phase_position,
+                phase_global_taken=phase_global_taken,
+            ))
+            verdict = (vc_range, kind == HopKind.OPPORTUNISTIC)
+            self._verdict_memo[verdict_key] = verdict
+        vc_range, opportunistic = verdict
         if vc_range is None:
-            return None
-        opportunistic = kind == HopKind.OPPORTUNISTIC
+            return _NO_HOP
         reaches_intermediate = (
             is_detour and next_router == packet.intermediate_router
         )
-        return CandidateHop(
-            out_port=out_port,
-            next_router=next_router,
-            out_type=out_type,
-            vc_range=vc_range,
-            opportunistic=opportunistic,
-            reaches_intermediate=reaches_intermediate,
-            abandons_detour=abandons_detour,
-        )
-
-    def _intended_remaining(
-        self,
-        here: int,
-        packet: Packet,
-        target_router: int,
-        target_col,
-        dst_col,
-        abandons_detour: bool,
-    ) -> HopSequence:
-        """Hop-type sequence of the packet's intended route from ``here``."""
-        if abandons_detour or packet.route_kind == RouteKind.MINIMAL \
-                or packet.intermediate_reached:
-            return dst_col.hop_sequence(here)
-        first_leg = target_col.hop_sequence(here)
-        second_leg = dst_col.hop_sequence(target_router)
-        return first_leg + second_leg
+        intern_key = (here, out_port, vc_range.lo, vc_range.hi,
+                      opportunistic, reaches_intermediate, abandons_detour)
+        hop = self._intern_memo.get(intern_key)
+        if hop is None:
+            candidate = CandidateHop(
+                out_port=out_port,
+                next_router=next_router,
+                out_type=out_type,
+                vc_range=vc_range,
+                opportunistic=opportunistic,
+                reaches_intermediate=reaches_intermediate,
+                abandons_detour=abandons_detour,
+            )
+            candidate.hot = router.resolve_candidate(candidate)
+            hop = self._intern_memo[intern_key] = [candidate]
+        return hop
 
     # ------------------------------------------------------------------
     # State updates on grant

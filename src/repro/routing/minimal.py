@@ -70,10 +70,9 @@ class MinimalRouting(RoutingAlgorithm):
             )
         cached = self._plan_memo.get(key)
         if cached is None:
-            direct = self._candidate_towards(
+            cached = self._hop_plan(
                 router, packet, dst_router, input_type, input_vc, is_detour=False
             )
-            cached = [direct] if direct is not None else []
             if len(self._plan_memo) >= _MEMO_CAP:
                 self._plan_memo.clear()
             self._plan_memo[key] = cached

@@ -275,7 +275,9 @@ class _RouteTableCore:
         #: interning the full tuples would, without building a tuple or
         #: hashing it on the (hot) already-seen path.
         self._seq_step: Dict[int, int] = {}
-        self._lt_members = {member.value: member for member in LinkType}
+        #: link-type members indexed by their byte value (values are
+        #: 0..k-1), so adjacency reads never go through ``LinkType(...)``.
+        self._lt_members: Tuple[LinkType, ...] = tuple(LinkType)
 
         # Dense adjacency view: neighbor router and link type per
         # (router, port), so column fills and candidate construction never
@@ -630,7 +632,9 @@ class _RouteTableCore:
 
     def link_type(self, router: int, port: int) -> LinkType:
         """Link type of ``port`` (dense adjacency lookup)."""
-        return LinkType(self._link_types[router * self._ports_per_router + port])
+        return self._lt_members[
+            self._link_types[router * self._ports_per_router + port]
+        ]
 
     def _adjacency_bytes(self) -> int:
         return (self._neighbor.itemsize * len(self._neighbor)
