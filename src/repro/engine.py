@@ -96,7 +96,8 @@ class Engine:
 
     # -- registration -----------------------------------------------------------
     def register_router(self, router: object) -> None:
-        """Register an object exposing ``step(now)`` and ``has_work()``.
+        """Register an object exposing ``pump(now) -> bool``, or ``step(now)``
+        and ``has_work()``.
 
         Routers start active; they are dropped from the active set once
         ``has_work()`` returns False and must re-activate themselves (via

@@ -145,9 +145,12 @@ class Router:
         self.saturation_board: Optional[SaturationBoard] = None
         #: position of this router on its group's saturation board.
         self.saturation_position = -1
-        #: (output_port, board_index) pairs of the global ports (lazy).
-        self._saturation_ports: Optional[List] = None
-        self._saturation_posts = False
+        #: set by a sensed port's debit or credit return; the pump posts the
+        #: changed board entries and clears it (see ``_update_saturation``).
+        self._saturation_dirty = False
+        #: one ``[splits, global_port, class_index, last_posted]`` entry per
+        #: posted board slot, built by ``attach_saturation_board``.
+        self._sensors: List[list] = []
 
         # Transit-only routers (e.g. Megafly spines) attach no nodes.
         self.nodes = list(topology.nodes_of_router(router_id))
@@ -261,7 +264,7 @@ class Router:
             self._out_pending[port] = op._pending_releases
             self._out_by_port[port] = op
             self._input_by_port[port] = self.input_ports[port]
-            op._debit = self._make_debit(op)
+            op._debit = self._sensed(op, self._make_debit(op))
 
         #: per-output-port bitmask over the ``_credit_free`` slab indices,
         #: used to record which credit returns can unblock a sleeping router.
@@ -350,15 +353,34 @@ class Router:
     # External interface (wiring and traffic)
     # ------------------------------------------------------------------
     def attach_saturation_board(self, board: SaturationBoard, position: int = 0) -> None:
+        """Join a group's board: precompute one sensor per posted slot.
+
+        Routers without global ports (e.g. Megafly leaves) get no sensors
+        and only read the board at injection time.  Per-VC sensing with
+        request-reply traffic posts two classes per port: the first VC of
+        each sub-path.
+        """
         self.saturation_board = board
         self.saturation_position = position
-        self._saturation_ports = None
-        #: whether this router posts measurements (owns global ports) or only
-        #: reads the board at injection time (e.g. Megafly leaves).
-        self._saturation_posts = any(
-            op.link_type == LinkType.GLOBAL for op in self.output_ports.values()
-        )
-        self.wake()
+        per_vc = self.routing_config.pb_sensing == "vc"
+        arrangement = self.arrangement
+        class_vcs = [0]
+        if per_vc and arrangement.is_reactive:
+            class_vcs.append(
+                min(arrangement.request_global, arrangement.total_global - 1)
+            )
+        self._sensors = []
+        for class_index, vc in enumerate(class_vcs):
+            for port, op in sorted(self.output_ports.items()):
+                if op.link_type != LinkType.GLOBAL:
+                    continue
+                ledger = op.credits.ledger.per_vc
+                gport = self.topology.global_port_index(self.router_id, port)
+                self._sensors.append([
+                    [ledger[vc]] if per_vc else ledger, gport, class_index,
+                    board.occupancy(position, gport, class_index),
+                ])
+        self._update_saturation()
 
     def wake(self) -> None:
         """Re-register with the engine's active set (idempotent).
@@ -390,7 +412,7 @@ class Router:
         if 0 <= blocked and ready < blocked:
             self._alloc_sleep_until = ready
         if self.engine_activate is not None:
-            if self.saturation_board is None and ready > now:
+            if ready > now:
                 self.engine.schedule_wake(ready, self.engine_index)
             else:
                 self.engine_activate(self.engine_index)
@@ -425,6 +447,24 @@ class Router:
                 split.nonminimal += phits
 
         return debit
+
+    def _sensed(self, op: OutputPort,
+                update: Callable[[int, int, bool], None]) -> Callable[[int, int, bool], None]:
+        """``update`` (a debit or credit return of ``op``), also marking the
+        board entries dirty and activating the router for this cycle when
+        ``op`` is a Piggyback GLOBAL port (decided here: boards attach after
+        wiring).  The router's pump then posts the change (DESIGN.md §2).
+        """
+        if self.routing_config.algorithm != "pb" or op.link_type != LinkType.GLOBAL:
+            return update
+        router = self
+
+        def sensed(vc: int, phits: int, minimal: bool) -> None:
+            update(vc, phits, minimal)
+            router._saturation_dirty = True
+            router.engine_activate(router.engine_index)
+
+        return sensed
 
     def resolve_candidate(self, candidate: CandidateHop) -> tuple:
         """Burn this router's slab indices into a memoized candidate.
@@ -494,15 +534,10 @@ class Router:
                 blocked = self._alloc_sleep_until
                 if 0 <= blocked and ready < blocked:
                     self._alloc_sleep_until = ready
-                if self.saturation_board is None:
-                    # Nothing this arrival enables can happen before the
-                    # head clears the router pipeline, so wake exactly then
-                    # instead of pumping a guaranteed no-op cycle now.
-                    schedule_wake(ready, self.engine_index)
-                else:
-                    # Piggyback board readers are stepped every cycle while
-                    # packets are pending (time-varying congestion state).
-                    self.engine_activate(self.engine_index)
+                # Nothing this arrival enables can happen before the head
+                # clears the router pipeline, so wake exactly then instead
+                # of pumping a guaranteed no-op cycle now.
+                schedule_wake(ready, self.engine_index)
 
             return deliver
 
@@ -518,7 +553,7 @@ class Router:
             blocked = self._alloc_sleep_until
             if 0 <= blocked and ready < blocked:
                 self._alloc_sleep_until = ready
-            if self.saturation_board is None and ready > now:
+            if ready > now:
                 # Nothing this arrival enables can happen before the head
                 # clears the router pipeline, so wake exactly then instead
                 # of pumping a guaranteed no-op cycle now.  (An active
@@ -526,9 +561,7 @@ class Router:
                 # cheap set-insert.)
                 schedule_wake(ready, self.engine_index)
             else:
-                # Piggyback board readers must be stepped every cycle while
-                # packets are pending (time-varying congestion state);
-                # zero-latency pipelines make the head routable this cycle.
+                # Zero-latency pipelines make the head routable this cycle.
                 self.engine_activate(self.engine_index)
 
         return deliver
@@ -542,7 +575,8 @@ class Router:
         router sleeping *without* a verdict has no pipeline-ready head, and a
         credit cannot create one, so nothing needs to happen then.
         """
-        tracker = self.output_ports[port].credits
+        op = self.output_ports[port]
+        tracker = op.credits
         mirror = tracker.mirror
         base = self._cfree_base[port]
         in_state = self._in_state
@@ -591,7 +625,7 @@ class Router:
                     self._alloc_sleep_until = -1
                     self.engine_activate(self.engine_index)
 
-            return credit_return
+            return self._sensed(op, credit_return)
 
         credit = tracker.credit
 
@@ -610,7 +644,7 @@ class Router:
                 self._alloc_sleep_until = -1
                 self.engine_activate(self.engine_index)
 
-        return credit_return
+        return self._sensed(op, credit_return)
 
     def enqueue_source(self, packet: Packet, now: int) -> None:
         """Queue a newly generated packet at its source node."""
@@ -646,12 +680,6 @@ class Router:
         schedule_wake = self.engine.schedule_wake
 
         def pump(now: int) -> bool:
-            if router.saturation_board is not None:
-                if (router._saturation_posts or router.resident_packets
-                        or router._injection_resident or router._source_backlog):
-                    router.step(now)
-                    return True
-                return False
             blocked = router._alloc_sleep_until
             if blocked >= 0 and blocked <= now:
                 router._alloc_sleep_until = blocked = -1
@@ -682,28 +710,21 @@ class Router:
                 if earliest >= 0 and router._next_wake != earliest:
                     router._next_wake = earliest
                     schedule_wake(earliest, router.engine_index)
+                if router._saturation_dirty:
+                    router._update_saturation()
                 return False
-            # Inlined step() body (saturation-board routers take the step()
-            # call above; plain routers never reach _update_saturation).
             if router._source_backlog and now >= router._inject_gate:
                 inject_from_sources(now)
             if router.resident_packets or router._injection_resident:
                 blocked = router._alloc_sleep_until
                 if blocked < 0 or blocked <= now:
                     router._allocate(now)
+            # Post after allocation, so the board sees this cycle's debits.
+            if router._saturation_dirty:
+                router._update_saturation()
             return True
 
         return pump
-
-    def step(self, now: int) -> None:
-        if self._source_backlog and now >= self._inject_gate:
-            self._inject_from_sources(now)
-        if self.resident_packets or self._injection_resident:
-            blocked = self._alloc_sleep_until
-            if blocked < 0 or blocked <= now:
-                self._allocate(now)
-        if self.saturation_board is not None and self._saturation_posts:
-            self._update_saturation()
 
     # -- injection --------------------------------------------------------------------
     def _inject_from_sources(self, now: int) -> None:
@@ -966,19 +987,13 @@ class Router:
                             retry = reject_until
                         if router.on_stall is not None:
                             router.on_stall(router_id, now, retry)
-                        if router.saturation_board is None:
-                            # Nothing was requestable: record the earliest
-                            # cycle a deterministic blocker (crossbar,
-                            # ejection port, grant cap) expires so pump()
-                            # can sleep until then; async blockers (credits)
-                            # re-activate the router via the credit sinks.
-                            # Piggyback routers are exempt: they are stepped
-                            # every cycle regardless (saturation sensing),
-                            # and their injection decisions read time-varying
-                            # congestion state, so skipping allocation passes
-                            # would change results.
-                            router._alloc_sleep_until = retry
-                            router._blocked_credit_mask = credit_mask
+                        # Nothing was requestable: record the earliest cycle
+                        # a deterministic blocker (crossbar, ejection port,
+                        # grant cap) expires so pump() can sleep until then;
+                        # async blockers (credits) re-activate the router
+                        # via the credit sinks.
+                        router._alloc_sleep_until = retry
+                        router._blocked_credit_mask = credit_mask
                     break
                 # Output stage (inlined separable allocator, identical to
                 # SeparableAllocator.arbitrate): at most one grant per
@@ -1168,30 +1183,23 @@ class Router:
 
     # -- congestion sensing --------------------------------------------------------------------
     def _update_saturation(self) -> None:
-        """Refresh this router's saturation bits on the group board (Piggyback)."""
+        """Post this router's changed global-port occupancies (Piggyback).
+
+        Each sensor recomputes ``CreditTracker.occupancy_metric`` from its
+        ledger splits and posts only a changed value; the cached last value
+        is exact because only the owner writes its board slots.
+        """
+        self._saturation_dirty = False
         board = self.saturation_board
         assert board is not None
-        global_ports = self._saturation_ports
-        if global_ports is None:
-            topo = self.topology
-            global_ports = [
-                (op, topo.global_port_index(self.router_id, port))
-                for port, op in sorted(self.output_ports.items())
-                if op.link_type == LinkType.GLOBAL
-            ]
-            self._saturation_ports = global_ports
-        if not global_ports:
-            return
         position = self.saturation_position
-        per_vc = self.routing_config.pb_sensing == "vc"
         minimal_only = self.routing_config.pb_min_credits_only
-        class_indices = (0, 1) if (per_vc and self.arrangement.is_reactive) else (0,)
-        for class_index in class_indices:
-            if class_index == 0:
-                vc = 0
-            else:
-                vc = min(self.arrangement.request_global,
-                         self.arrangement.total_global - 1)
-            for op, gport in global_ports:
-                occupancy = op.credits.occupancy_metric(per_vc, vc, minimal_only)
-                board.post(position, gport, class_index, occupancy)
+        for sensor in self._sensors:
+            value = 0
+            for split in sensor[0]:
+                value += split.minimal
+                if not minimal_only:
+                    value += split.nonminimal
+            if value != sensor[3]:
+                sensor[3] = value
+                board.post(position, sensor[1], sensor[2], value)

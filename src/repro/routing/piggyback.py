@@ -2,10 +2,14 @@
 
 PB (Jiang, Kim & Dally, ISCA 2009) is the source-adaptive mechanism evaluated
 in Section V-C.  Every router measures the credit occupancy of its global
-ports, marks as *saturated* those whose occupancy exceeds the router's average
-by 50%, and piggybacks these bits to the other routers of its group (the
-topology's LOCAL-connected router set — a Dragonfly group, a HyperX
-dimension-0 row, a Megafly leaf/spine group).  At injection, the source
+ports and piggybacks it to the other routers of its group (the topology's
+LOCAL-connected router set — a Dragonfly group, a HyperX dimension-0 row, a
+Megafly leaf/spine group) through a shared
+:class:`~repro.router.saturation.SaturationBoard`.  A port is *saturated*
+when its occupancy exceeds the average over all global ports of the group
+by ``pb_saturation_factor`` (50% by default; ``SaturationBoard.is_saturated``).
+A router posts a port's occupancy whenever a credit debit or return changes
+it, so the board always holds current values.  At injection, the source
 router combines the saturation bit of the first global link on the minimal
 path with a local UGAL-style credit comparison to decide between the minimal
 path and a Valiant detour.
